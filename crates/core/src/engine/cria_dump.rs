@@ -8,7 +8,7 @@
 //! inside the dump window can trip the watchdog and fault the stage.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::cria::{FluxImage, ReinitSpec, IMAGE_COMPRESS_RATIO};
 use crate::image_cache;
 use crate::migration::{MigrationStage, StageTimes};
@@ -41,7 +41,7 @@ impl Stage for CriaDump {
         Some(&mut times.checkpoint)
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.as_str();
         let image = {
             let now = cx.world.clock.now();
@@ -135,6 +135,6 @@ impl Stage for CriaDump {
         }
         cx.prog.compress_pending = deferred;
         cx.prog.image = Some(image);
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 }

@@ -19,6 +19,7 @@ use flux_workloads::AppSpec;
 
 use super::failure::StageFailure;
 use super::interrupt::InterruptSource;
+use super::slices::SliceLog;
 use super::transfer::InflightTransfer;
 
 /// Immutable facts about the migration, gathered once up front.
@@ -130,13 +131,15 @@ pub(crate) struct Progress {
     pub(crate) replay: Option<ReplayStats>,
     pub(crate) redrawn: usize,
     /// A stage's own busy accounting for the attempt just run, when it
-    /// differs from the wall span of `run()` (the pipelined transfer hides
+    /// differs from the stage's wall span (the pipelined transfer hides
     /// part of its window). Taken by the driver after each stage.
     pub(crate) busy_override: Option<SimDuration>,
     pub(crate) times: StageTimes,
     pub(crate) attempts: u32,
     pub(crate) faults: u32,
     pub(crate) backoff: SimDuration,
+    /// The run's stage-level schedule, appended to as the clock advances.
+    pub(crate) slices: SliceLog,
 }
 
 impl Progress {

@@ -7,7 +7,7 @@
 //! back.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome};
+use super::{Stage, StageCtx, Yield};
 use crate::migration::MigrationStage;
 use flux_simcore::SimDuration;
 use flux_telemetry::stage_metric_name;
@@ -20,7 +20,7 @@ impl Stage for Finalise {
         "finalise"
     }
 
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
+    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
         let package = cx.mig.package.as_str();
         {
             let now = cx.world.clock.now();
@@ -76,6 +76,6 @@ impl Stage for Finalise {
                 ledger.total()
             ),
         );
-        Ok(StageOutcome::Completed)
+        Ok(Yield::Done)
     }
 }

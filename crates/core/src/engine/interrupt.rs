@@ -6,10 +6,10 @@
 //! means nothing until the anchor stage first runs, at which point the
 //! driver arms the spec on a [`Timeline`] at an absolute virtual time.
 //! Armed interrupts are then delivered by the driver at slice boundaries
-//! — between [`Yield::Progress`](super::Yield) returns — as the clock
-//! crosses them, wherever in the pipeline that happens to be. The
-//! timeline orders simultaneous deliveries by arming sequence, so a run
-//! is byte-identical however the specs were listed.
+//! — around every [`Stage::run_slice`](super::Stage::run_slice) call —
+//! as the clock crosses them, wherever in the pipeline that happens to
+//! be. The timeline orders simultaneous deliveries by arming sequence,
+//! so a run is byte-identical however the specs were listed.
 
 use crate::migration::{InterruptRecord, MigrationStage, StageInterrupt};
 use flux_appfw::LifecycleEvent;
@@ -50,11 +50,6 @@ impl InterruptSource {
                 i += 1;
             }
         }
-    }
-
-    /// The instant of the earliest armed interrupt, if any.
-    pub(crate) fn next_due(&self) -> Option<SimTime> {
-        self.armed.next_at()
     }
 
     /// The earliest armed interrupt, if it falls strictly inside
@@ -102,18 +97,18 @@ mod tests {
             spec(MigrationStage::Preparation, 5),
         ]);
         src.arm(MigrationStage::Preparation, SimTime::from_secs(1));
-        assert_eq!(
-            src.next_due(),
-            Some(SimTime::from_secs(1) + SimDuration::from_millis(5))
-        );
+        // Armed at anchor entry plus offset: not due a nanosecond early.
+        let due = SimTime::from_nanos(1_005_000_000);
+        assert!(src.pop_due(SimTime::from_nanos(1_004_999_999)).is_none());
+        let int = src.pop_due(due).expect("due at entry + offset");
+        assert_eq!(int.stage, MigrationStage::Preparation);
         // The transfer-anchored spec stays pending until its stage runs.
-        assert!(src.pop_due(SimTime::from_secs(10)).is_some());
         assert!(src.pop_due(SimTime::from_secs(10)).is_none());
         src.arm(MigrationStage::Transfer, SimTime::from_secs(2));
         assert!(src.pop_due(SimTime::from_secs(3)).is_some());
         // Re-entering an anchor (a retried stage) arms nothing twice.
         src.arm(MigrationStage::Transfer, SimTime::from_secs(4));
-        assert_eq!(src.next_due(), None);
+        assert!(src.pop_due(SimTime::from_nanos(u64::MAX)).is_none());
     }
 
     #[test]

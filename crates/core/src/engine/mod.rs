@@ -4,12 +4,13 @@
 //! preflight, record-log freeze, (pre-copy), CRIA dump, transfer, undump,
 //! adaptive-replay warm-up, finalise, with rollback on any failure. This
 //! module makes those phases first-class values: each is a [`Stage`]
-//! implementation in its own module, and [`driver::run`] is the single
-//! control loop that owns retry/backoff, telemetry span emission, ledger
-//! accounting and rollback unwinding. Both entry points — [`migrate`]
-//! with its `MigrationSpec`, and the fleet executor — execute through
-//! that one driver; serial, pipelined and fleet execution differ only in
-//! configuration, not in duplicated control flow.
+//! implementation in its own module, and [`driver::run_sliced`] is the
+//! single control loop that owns retry/backoff, telemetry span emission,
+//! ledger accounting, rollback unwinding and the run's [`Slice`]
+//! schedule. Both entry points — [`migrate`] with its `MigrationSpec`,
+//! and the fleet executor — execute through that one driver; serial,
+//! pipelined and fleet execution differ only in configuration, not in
+//! duplicated control flow.
 //!
 //! Module names follow the paper's phase vocabulary; [`Stage::name`]
 //! returns the report/telemetry vocabulary the repo's figures were
@@ -33,7 +34,7 @@ pub mod transfer;
 pub mod undump;
 
 pub use ctx::StageCtx;
-pub use driver::{migrate, run, run_with_interrupts};
+pub use driver::{migrate, run_sliced};
 pub use failure::StageFailure;
 pub use replay_warmup::broadcast_connectivity;
 pub use slices::{ArmAction, Slice, SliceCursor, SliceKind};
@@ -42,34 +43,15 @@ use crate::migration::{MigrationStage, StageTimes};
 use flux_simcore::SimDuration;
 use flux_telemetry::LaneId;
 
-/// What a completed [`Stage::run`] reports back to the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageOutcome {
-    /// The stage did its work this attempt; the driver accumulates its
-    /// busy time and closes its span.
-    Completed,
-    /// The stage discovered at run time there was nothing to do; the
-    /// driver closes the span without charging busy time. (Stages that
-    /// know up front report through [`Stage::pending`] instead, which
-    /// skips the span entirely.)
-    Skipped,
-}
-
 /// What one [`Stage::run_slice`] call reports back to the driver's slice
 /// loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Yield {
-    /// The stage ran one slice (charging `dur` of virtual time) and has
-    /// more work; the driver delivers any due interrupts at the boundary
-    /// and re-enters.
-    Progress(SimDuration),
-    /// The stage finished this attempt with the given outcome.
-    Done(StageOutcome),
-    /// The stage cannot proceed until an armed interrupt is delivered. No
-    /// current stage blocks; the driver advances the clock to the next
-    /// armed interrupt, or fails the attempt if none is armed (a blocked
-    /// stage with nothing to unblock it would spin forever).
-    Blocked,
+    /// The stage ran one slice and has more work; the driver delivers any
+    /// due interrupts at the boundary and re-enters.
+    Progress,
+    /// The stage finished this attempt.
+    Done,
 }
 
 /// One phase of the migration pipeline.
@@ -123,21 +105,11 @@ pub trait Stage {
         None
     }
 
-    /// Runs the stage, charging virtual time and mutating the world.
-    ///
-    /// Monolithic stages implement this directly; resumable stages
-    /// (preparation, transfer) implement [`run_slice`](Self::run_slice)
-    /// and provide `run` as the slice loop, so direct callers see the
-    /// same all-at-once behaviour either way.
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure>;
-
-    /// Runs one slice of the stage. The default treats the whole stage
-    /// as a single indivisible slice (one [`run`](Self::run) to
-    /// completion); resumable stages override this and yield
-    /// [`Yield::Progress`] at every interruptible boundary.
-    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
-        Ok(Yield::Done(self.run(cx)?))
-    }
+    /// Runs one slice of the stage, charging virtual time and mutating
+    /// the world. One-shot stages do all their work in a single call and
+    /// return [`Yield::Done`]; resumable stages (preparation, transfer)
+    /// yield [`Yield::Progress`] at every interruptible boundary.
+    fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure>;
 
     /// Undoes this stage's externally visible effects during rollback.
     /// Called in reverse pipeline order for every stage, whether or not it
@@ -150,7 +122,7 @@ pub trait Stage {
 }
 
 /// The stages one attempt executes, in pipeline order. The driver runs
-/// these forward in [`driver::run`] and unwinds them in reverse on
+/// these forward in [`driver::run_sliced`] and unwinds them in reverse on
 /// rollback.
 pub const ATTEMPT_STAGES: [&(dyn Stage + Sync); 6] = [
     &precopy::Precopy,

@@ -1,15 +1,15 @@
 //! The engine's slice vocabulary: the stage-level [`Slice`] schedule an
-//! executed migration is cut into, the [`build_schedule`] cutter that
-//! turns [`ExecProbe`](crate::probe::ExecProbe) windows into it, and the
-//! [`SliceCursor`] the fleet scheduler walks to re-time those slices on
-//! its timeline.
+//! executed migration is cut into, the log the driver appends it to as
+//! it advances the clock, and the [`SliceCursor`] the fleet scheduler
+//! walks to re-time those slices on its timeline.
 //!
-//! This used to be split across `executor.rs` (the cutter) and `fleet.rs`
-//! (a hand-rolled cursor inside `step_flight`); it now lives with the
-//! engine, the one owner of slice semantics — the same boundaries the
-//! driver yields at for mid-stage interrupt delivery.
+//! The driver brackets every stage (and the backoff and rollback between
+//! them) and the transfer-bearing stages log each radio window as they
+//! key the radio, so a run returns its schedule directly: consecutive
+//! slices start where the previous one ended, and together they tile the
+//! run's wall time by construction.
 
-use crate::probe::{RadioWindow, StageWindow};
+use super::failure::StageFailure;
 use flux_simcore::{ByteSize, SimDuration, SimTime};
 
 /// What one schedulable stretch of an executed migration occupies.
@@ -42,91 +42,92 @@ pub struct Slice {
     pub dur: SimDuration,
 }
 
-/// Cuts `[start, start + wall]` into [`Slice`]s at every stage and radio
-/// window boundary: stretches inside a radio window become `Transfer`
-/// slices carrying that window's payload, everything else is `Cpu`, and
-/// each slice is labeled with the stage that owned the clock there.
+/// The schedule a run appends to as it advances the clock: a cursor (how
+/// far the schedule reaches), the stage that owns the clock there, and
+/// the slices cut so far.
 ///
-/// The builder checks — rather than trusts — the probe invariants: radio
-/// windows must be chronological, non-overlapping and inside the wall.
-/// Every violation is counted and the offending window clamped, so the
-/// returned schedule always tiles the wall exactly; callers surface the
-/// count (`flux.fleet.accounting_violations`) instead of masking it.
-pub(crate) fn build_schedule(
-    stages: &[StageWindow],
-    radios: &[RadioWindow],
-    start: SimTime,
-    wall: SimDuration,
-) -> (Vec<Slice>, u32) {
-    let end = start + wall;
-    let mut violations = 0u32;
-    let label_at = |t: SimTime| -> &'static str {
-        stages
-            .iter()
-            .find(|w| w.from <= t && t < w.to)
-            .map(|w| w.stage)
-            .unwrap_or("")
-    };
-    // Emits the CPU stretch `[from, to)`, split at stage boundaries so a
-    // slice never spans two stages (the scheduler brackets the transfer
-    // stage by its labeled slices).
-    let emit_cpu = |slices: &mut Vec<Slice>, from: SimTime, to: SimTime| {
-        let mut at = from;
-        while at < to {
-            let mut next = to;
-            for w in stages {
-                for b in [w.from, w.to] {
-                    if b > at && b < next {
-                        next = b;
-                    }
-                }
-            }
-            slices.push(Slice {
-                stage: label_at(at),
-                kind: SliceKind::Cpu,
-                dur: next.since(at),
-            });
-            at = next;
+/// CPU time is cut only at stage and radio boundaries — never inside a
+/// stage — so a resumable stage's internal yields do not split its
+/// device-local work. Zero-length stretches are dropped.
+#[derive(Debug, Default)]
+pub(crate) struct SliceLog {
+    cursor: SimTime,
+    stage: &'static str,
+    slices: Vec<Slice>,
+}
+
+impl SliceLog {
+    /// An empty log whose schedule opens at `start`.
+    pub(crate) fn new(start: SimTime) -> Self {
+        Self {
+            cursor: start,
+            ..Self::default()
         }
-    };
-    let mut slices = Vec::new();
-    let mut cursor = start;
-    for r in radios {
-        let (mut from, mut to) = (r.from, r.from + r.duration);
-        if from < cursor || to > end {
-            violations += 1;
-            from = from.max(cursor).min(end);
-            to = to.max(from).min(end);
+    }
+
+    /// Closes the stretch up to `now` and hands the clock to `stage`.
+    pub(crate) fn enter(&mut self, stage: &'static str, now: SimTime) {
+        self.cut(now);
+        self.stage = stage;
+    }
+
+    /// Closes the current stage's stretch at `now`; time up to the next
+    /// [`enter`](Self::enter) is unlabelled (`""`).
+    pub(crate) fn exit(&mut self, now: SimTime) {
+        self.enter("", now);
+    }
+
+    /// Logs a radio window of `dur` from `from` that delivered `bytes`,
+    /// closing the current stage's CPU stretch at `from`. A window that
+    /// delivered nothing (a handshake drop) held the devices but put no
+    /// payload on the air, so it is logged as CPU time.
+    ///
+    /// # Errors
+    ///
+    /// [`StageFailure::Internal`] if the window starts before the end of
+    /// the schedule so far: the engine keyed the radio in the past.
+    pub(crate) fn radio(
+        &mut self,
+        from: SimTime,
+        dur: SimDuration,
+        bytes: ByteSize,
+    ) -> Result<(), StageFailure> {
+        if from < self.cursor {
+            return Err(StageFailure::Internal(format!(
+                "{} radio window at {from} starts before the slice log's cursor at {}",
+                self.stage, self.cursor
+            )));
         }
-        if to <= from {
-            continue; // clamped away entirely
-        }
-        emit_cpu(&mut slices, cursor, from);
-        // A window that delivered nothing (handshake drop) held the
-        // devices but never got a payload onto the air: schedule it as
-        // CPU time rather than admitting a zero-byte flow.
-        let kind = if r.bytes.as_u64() > 0 {
-            SliceKind::Transfer { bytes: r.bytes }
+        self.cut(from);
+        let kind = if bytes.as_u64() > 0 {
+            SliceKind::Transfer { bytes }
         } else {
             SliceKind::Cpu
         };
-        slices.push(Slice {
-            stage: label_at(from),
-            kind,
-            dur: to.since(from),
-        });
-        cursor = to;
+        self.push(kind, from + dur);
+        Ok(())
     }
-    emit_cpu(&mut slices, cursor, end);
-    debug_assert_eq!(
-        slices
-            .iter()
-            .map(|s| s.dur)
-            .fold(SimDuration::ZERO, |a, d| a + d),
-        wall,
-        "slice schedule must tile the wall exactly"
-    );
-    (slices, violations)
+
+    /// Closes the schedule at `now` and returns it.
+    pub(crate) fn finish(mut self, now: SimTime) -> Vec<Slice> {
+        self.cut(now);
+        self.slices
+    }
+
+    fn cut(&mut self, to: SimTime) {
+        self.push(SliceKind::Cpu, to);
+    }
+
+    fn push(&mut self, kind: SliceKind, to: SimTime) {
+        if to > self.cursor {
+            self.slices.push(Slice {
+                stage: self.stage,
+                kind,
+                dur: to.since(self.cursor),
+            });
+            self.cursor = to;
+        }
+    }
 }
 
 /// What the fleet scheduler should do for the cursor's current position.
@@ -240,32 +241,8 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
-    fn stage_w(stage: &'static str, from: u64, to: u64) -> StageWindow {
-        StageWindow {
-            stage,
-            from: t(from),
-            to: t(to),
-        }
-    }
-
-    fn radio_w(from: u64, dur: u64, mib: u64) -> RadioWindow {
-        RadioWindow {
-            from: t(from),
-            duration: SimDuration::from_secs(dur),
-            bytes: ByteSize::from_mib(mib),
-        }
-    }
-
-    #[test]
-    fn schedule_tiles_the_wall_and_labels_stages() {
-        // precopy [0,4) with a radio round [1,3); transfer [5,9) with its
-        // verify head [5,6) and radio [6,9); a bare gap [4,5).
-        let stages = vec![stage_w("precopy", 0, 4), stage_w("transfer", 5, 9)];
-        let radios = vec![radio_w(1, 2, 8), radio_w(6, 3, 64)];
-        let (slices, violations) =
-            build_schedule(&stages, &radios, t(0), SimDuration::from_secs(9));
-        assert_eq!(violations, 0);
-        let shape: Vec<(&str, bool, u64)> = slices
+    fn shape(slices: &[Slice]) -> Vec<(&'static str, bool, u64)> {
+        slices
             .iter()
             .map(|s| {
                 (
@@ -274,9 +251,27 @@ mod tests {
                     s.dur.as_nanos() / 1_000_000_000,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    fn secs(n: u64) -> SimDuration {
+        SimDuration::from_secs(n)
+    }
+
+    #[test]
+    fn schedule_tiles_the_wall_and_labels_stages() {
+        // precopy [0,4) with a radio round [1,3); a bare gap [4,5);
+        // transfer [5,9) with its verify head [5,6) and radio [6,9).
+        let mut log = SliceLog::new(t(0));
+        log.enter("precopy", t(0));
+        log.radio(t(1), secs(2), ByteSize::from_mib(8)).unwrap();
+        log.exit(t(4));
+        log.enter("transfer", t(5));
+        log.radio(t(6), secs(3), ByteSize::from_mib(64)).unwrap();
+        log.exit(t(9));
+        let slices = log.finish(t(9));
         assert_eq!(
-            shape,
+            shape(&slices),
             vec![
                 ("precopy", false, 1),
                 ("precopy", true, 2),
@@ -290,57 +285,54 @@ mod tests {
             .iter()
             .map(|s| s.dur)
             .fold(SimDuration::ZERO, |a, d| a + d);
-        assert_eq!(total, SimDuration::from_secs(9));
+        assert_eq!(total, secs(9));
     }
 
     #[test]
     fn zero_byte_radio_windows_become_cpu_slices() {
         // A handshake drop held the devices but shipped nothing: it must
         // not become a zero-byte medium flow.
-        let stages = vec![stage_w("transfer", 0, 3)];
-        let radios = vec![radio_w(1, 1, 0)];
-        let (slices, violations) =
-            build_schedule(&stages, &radios, t(0), SimDuration::from_secs(3));
-        assert_eq!(violations, 0);
+        let mut log = SliceLog::new(t(0));
+        log.enter("transfer", t(0));
+        log.radio(t(1), secs(1), ByteSize::ZERO).unwrap();
+        log.exit(t(3));
+        let slices = log.finish(t(3));
+        assert_eq!(slices.len(), 3, "the dropped window is its own slice");
         assert!(slices.iter().all(|s| matches!(s.kind, SliceKind::Cpu)));
     }
 
     #[test]
-    fn escaping_radio_windows_are_counted_not_masked() {
-        // Regression for the silent `pre = wall.saturating_sub(transfer +
-        // post)` clamp: a probe window past the measured wall used to
-        // vanish into a zero pre-phase. Now it is clamped *and counted*.
-        let stages = vec![stage_w("transfer", 0, 4)];
-        let radios = vec![radio_w(2, 10, 64)]; // escapes a 4 s wall
-        let (slices, violations) =
-            build_schedule(&stages, &radios, t(0), SimDuration::from_secs(4));
-        assert_eq!(violations, 1);
-        let total = slices
-            .iter()
-            .map(|s| s.dur)
-            .fold(SimDuration::ZERO, |a, d| a + d);
-        assert_eq!(total, SimDuration::from_secs(4), "still tiles the wall");
-        // Overlapping windows are the other corruption shape.
-        let radios = vec![radio_w(0, 3, 8), radio_w(2, 1, 8)];
-        let (_, violations) = build_schedule(&stages, &radios, t(0), SimDuration::from_secs(4));
-        assert_eq!(violations, 1);
+    fn radio_window_behind_the_cursor_is_an_internal_failure() {
+        let mut log = SliceLog::new(t(0));
+        log.enter("transfer", t(0));
+        log.radio(t(2), secs(2), ByteSize::from_mib(8)).unwrap();
+        // Overlaps the window just logged: the engine keyed the radio in
+        // the past, which no clamp may paper over.
+        let err = log.radio(t(3), secs(1), ByteSize::from_mib(8)).unwrap_err();
+        assert!(matches!(err, StageFailure::Internal(_)), "{err:?}");
+        // A window before the schedule's start is the same bug.
+        let mut log = SliceLog::new(t(5));
+        let err = log.radio(t(4), secs(1), ByteSize::from_mib(8)).unwrap_err();
+        assert!(matches!(err, StageFailure::Internal(_)), "{err:?}");
+        // The failed calls logged nothing.
+        assert!(log.finish(t(5)).is_empty());
     }
 
     #[test]
-    fn empty_probe_yields_one_cpu_slice_or_nothing() {
-        let (slices, v) = build_schedule(&[], &[], t(0), SimDuration::from_secs(2));
-        assert_eq!(v, 0);
+    fn empty_log_yields_one_cpu_slice_or_nothing() {
         assert_eq!(
-            slices,
+            SliceLog::new(t(0)).finish(t(2)),
             vec![Slice {
                 stage: "",
                 kind: SliceKind::Cpu,
-                dur: SimDuration::from_secs(2)
+                dur: secs(2)
             }]
         );
-        let (slices, v) = build_schedule(&[], &[], t(0), SimDuration::ZERO);
-        assert_eq!(v, 0);
-        assert!(slices.is_empty());
+        // Zero-width stages (a stage with nothing to do) leave no trace.
+        let mut log = SliceLog::new(t(0));
+        log.enter("restore", t(0));
+        log.exit(t(0));
+        assert!(log.finish(t(0)).is_empty());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! radio are interleaved sub-chunk, so interrupts land at its edges.
 
 use super::failure::StageFailure;
-use super::{Stage, StageCtx, StageOutcome, Yield};
+use super::{Stage, StageCtx, Yield};
 use crate::migration::{MigrationStage, StageTimes};
 use crate::pairing::verify_app;
 use flux_net::{ChunkedOutcome, ChunkedTransfer, DEFAULT_CHUNK};
@@ -39,7 +39,7 @@ pub(crate) struct InflightTransfer {
     pub(crate) cursor: SimTime,
     /// First chunk not yet drained (index into `radio.chunks`).
     pub(crate) next_chunk: usize,
-    /// Bytes already handed to the probe in earlier slices.
+    /// Bytes already logged as radio slices by earlier drains.
     pub(crate) bytes_recorded: ByteSize,
 }
 
@@ -49,11 +49,6 @@ pub struct Transfer;
 impl Stage for Transfer {
     fn name(&self) -> &'static str {
         "transfer"
-    }
-
-    fn lane(&self, cx: &StageCtx<'_>) -> LaneId {
-        let _ = cx;
-        LaneId::WORLD
     }
 
     fn pending(&self, cx: &StageCtx<'_>) -> bool {
@@ -66,18 +61,6 @@ impl Stage for Transfer {
 
     fn times_slot<'t>(&self, times: &'t mut StageTimes) -> Option<&'t mut SimDuration> {
         Some(&mut times.transfer)
-    }
-
-    fn run(&self, cx: &mut StageCtx<'_>) -> Result<StageOutcome, StageFailure> {
-        loop {
-            match self.run_slice(cx)? {
-                Yield::Progress(_) => continue,
-                Yield::Done(outcome) => return Ok(outcome),
-                Yield::Blocked => {
-                    return Err(StageFailure::Internal("transfer stage cannot block".into()))
-                }
-            }
-        }
     }
 
     fn run_slice(&self, cx: &mut StageCtx<'_>) -> Result<Yield, StageFailure> {
@@ -117,9 +100,9 @@ impl Stage for Transfer {
             );
             fused.run_radio(radio.duration);
             cx.world.clock.advance_to(fused.end());
-            cx.world
-                .probe
-                .record_radio(radio_start, radio.duration, radio.bytes_delivered);
+            cx.prog
+                .slices
+                .radio(radio_start, radio.duration, radio.bytes_delivered)?;
             if compress > SimDuration::ZERO {
                 // The deferred compression stays in the checkpoint stage's
                 // busy accounting, where the serial engine charges it.
@@ -157,7 +140,7 @@ impl Stage for Transfer {
                 next_chunk: 0,
                 bytes_recorded: ByteSize::ZERO,
             });
-            Ok(Yield::Progress(verify_done.since(t2)))
+            Ok(Yield::Progress)
         }
     }
 
@@ -199,7 +182,7 @@ fn drain_window(cx: &mut StageCtx<'_>, mut infl: InflightTransfer) -> Result<Yie
         }
         infl.next_chunk += 1;
     }
-    // The last slice absorbs any byte rounding so the probe windows sum
+    // The last slice absorbs any byte rounding so the radio slices sum
     // exactly to the priced window's delivered bytes.
     let seg_bytes = if target == infl.end {
         ByteSize::from_bytes(infl.radio.bytes_delivered.as_u64() - infl.bytes_recorded.as_u64())
@@ -211,9 +194,9 @@ fn drain_window(cx: &mut StageCtx<'_>, mut infl: InflightTransfer) -> Result<Yie
                 .sum(),
         )
     };
-    cx.world
-        .probe
-        .record_radio(infl.cursor, target.since(infl.cursor), seg_bytes);
+    cx.prog
+        .slices
+        .radio(infl.cursor, target.since(infl.cursor), seg_bytes)?;
     cx.prog.delivered_chunks = if target == infl.end {
         infl.radio.delivered_chunks
     } else {
@@ -224,12 +207,11 @@ fn drain_window(cx: &mut StageCtx<'_>, mut infl: InflightTransfer) -> Result<Yie
         // Stage what the guest acknowledged so far: this is exactly the
         // torn prefix a kill in this window leaves behind for rollback.
         cx.stage_chunks()?;
-        let seg = target.since(infl.cursor);
         infl.cursor = target;
         infl.bytes_recorded =
             ByteSize::from_bytes(infl.bytes_recorded.as_u64() + seg_bytes.as_u64());
         cx.prog.transfer_inflight = Some(infl);
-        return Ok(Yield::Progress(seg));
+        return Ok(Yield::Progress);
     }
     let InflightTransfer { radio, t2, .. } = infl;
     let busy = cx.world.clock.now() - t2;
@@ -309,7 +291,7 @@ fn settle_window(
             // Chunks the cache lacked are now on the guest: remember
             // them for the next migration of this package.
             cx.insert_cache_misses()?;
-            Ok(Yield::Done(StageOutcome::Completed))
+            Ok(Yield::Done)
         }
         ChunkedOutcome::LinkDropped { at } => Err(StageFailure::FaultAborted {
             stage: MigrationStage::Transfer,

@@ -7,8 +7,8 @@
 //! every admitted request and measures its shape — not three coarse
 //! phases, but the full stage-level [`Slice`] schedule: every pre-copy
 //! round, freeze-phase residue ship and record-log transfer is its own
-//! slice, cut from the [`ExecProbe`] windows the
-//! engine recorded while running. *Scheduling* places those slices on the
+//! slice, logged by the engine as it advanced the shard clock
+//! ([`engine::run_sliced`]). *Scheduling* places those slices on the
 //! fleet timeline under admission control and medium contention, admitting
 //! each transfer-bearing slice onto the radio individually. The
 //! [`FleetScheduler`](crate::FleetScheduler) owns scheduling; it delegates
@@ -56,7 +56,6 @@
 use crate::engine::{self, StageFailure};
 use crate::errors::FluxError;
 use crate::fleet::{FleetOutcome, MigrationRequest};
-use crate::probe::{ExecProbe, RadioWindow, StageWindow};
 use crate::record::RecordStore;
 use crate::world::{Device, DeviceId, FluxWorld};
 use flux_device::DeviceProfile;
@@ -67,7 +66,6 @@ use flux_telemetry::{LaneId, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
 
-pub(crate) use crate::engine::slices::build_schedule;
 pub use crate::engine::slices::{Slice, SliceKind};
 
 /// The stream label the executor forks the per-batch RNG root from, off
@@ -84,13 +82,6 @@ pub struct ExecutedMigration {
     /// The stage-level slice schedule covering the full measured wall
     /// time, in order. Empty for pre-flight refusals (which are free).
     pub(crate) schedule: Vec<Slice>,
-    /// The measured wall-clock (virtual) span; always the exact sum of
-    /// `schedule` durations.
-    pub(crate) wall: SimDuration,
-    /// Accounting-invariant violations the slice builder detected (probe
-    /// windows escaping the measured wall, or overlapping). Zero on every
-    /// healthy run; surfaced as `flux.fleet.accounting_violations`.
-    pub(crate) violations: u32,
     /// The shard's telemetry record, timed from batch open; the scheduler
     /// absorbs it into the world hub shifted to the admission instant.
     pub(crate) telemetry: Telemetry,
@@ -108,9 +99,11 @@ impl ExecutedMigration {
     }
 
     /// Wall-clock (virtual) span of the execution, medium contention not
-    /// yet applied.
+    /// yet applied: the sum of the schedule's slice durations.
     pub fn wall(&self) -> SimDuration {
-        self.wall
+        self.schedule
+            .iter()
+            .fold(SimDuration::ZERO, |acc, s| acc + s.dur)
     }
 }
 
@@ -259,15 +252,8 @@ struct ShardSlot {
     /// Pairing previously keyed by main-world device 0 on the guest, if
     /// the home-id remap displaced it.
     displaced: Option<crate::world::Pairing>,
-    parts: Option<ExecParts>,
-}
-
-/// The measured shape, telemetry still attached to the shard.
-struct ExecParts {
-    outcome: FleetOutcome,
-    schedule: Vec<Slice>,
-    wall: SimDuration,
-    violations: u32,
+    /// The measured shape; its telemetry is filled in at reattach.
+    exec: Option<ExecutedMigration>,
 }
 
 /// The shared execute pipeline: canonical order, conflict groups, shard
@@ -313,7 +299,7 @@ fn execute_batch(
 
         if workers <= 1 || slots.len() <= 1 {
             for slot in &mut slots {
-                slot.parts = Some(run_in_shard(&mut slot.world, &requests[slot.idx], start));
+                slot.exec = Some(run_in_shard(&mut slot.world, &requests[slot.idx]));
             }
         } else {
             let per_worker = slots.len().div_ceil(workers);
@@ -321,25 +307,16 @@ fn execute_batch(
                 for chunk in slots.chunks_mut(per_worker) {
                     scope.spawn(move || {
                         for slot in chunk {
-                            slot.parts =
-                                Some(run_in_shard(&mut slot.world, &requests[slot.idx], start));
+                            slot.exec = Some(run_in_shard(&mut slot.world, &requests[slot.idx]));
                         }
                     });
                 }
             });
         }
 
-        for mut slot in slots {
-            let parts = slot.parts.take().expect("group barrier ran every shard");
+        for slot in slots {
             let idx = slot.idx;
-            let telemetry = reattach(world, slot);
-            results[idx] = Some(ExecutedMigration {
-                outcome: parts.outcome,
-                schedule: parts.schedule,
-                wall: parts.wall,
-                violations: parts.violations,
-                telemetry,
-            });
+            results[idx] = Some(reattach(world, slot));
         }
     }
     results
@@ -392,9 +369,6 @@ fn detach(
         policy: world.policy,
         recording: world.recording,
         fault_plan: plan,
-        // The probe is what turns the run into a stage-level schedule:
-        // the engine records its windows here as it executes.
-        probe: ExecProbe::enabled(),
         devices: vec![home_dev, guest_dev],
     };
     ShardSlot {
@@ -405,13 +379,15 @@ fn detach(
         home_lane,
         guest_lane,
         displaced,
-        parts: None,
+        exec: None,
     }
 }
 
 /// Moves the shard's devices back into the main world, undoing the lane
-/// and pairing-key remaps, and returns the shard's telemetry record.
-fn reattach(world: &mut FluxWorld, slot: ShardSlot) -> Telemetry {
+/// and pairing-key remaps, and returns the shard's measured shape with
+/// its telemetry record.
+fn reattach(world: &mut FluxWorld, slot: ShardSlot) -> ExecutedMigration {
+    let mut exec = slot.exec.expect("group barrier ran every shard");
     let mut shard = slot.world;
     let mut guest_dev = shard.devices.pop().expect("shard guest");
     let mut home_dev = shard.devices.pop().expect("shard home");
@@ -427,14 +403,14 @@ fn reattach(world: &mut FluxWorld, slot: ShardSlot) -> Telemetry {
     }
     world.devices[slot.home.0] = home_dev;
     world.devices[slot.guest.0] = guest_dev;
-    shard.telemetry
+    exec.telemetry = shard.telemetry;
+    exec
 }
 
-/// Runs the engine inside a shard (home = 0, guest = 1) and cuts the
-/// measured span into the stage-level slice schedule. The shard clock
-/// opened at `start`, so the wall time is the clock's progress past it.
-fn run_in_shard(shard: &mut FluxWorld, req: &MigrationRequest, start: SimTime) -> ExecParts {
-    let result = engine::run_with_interrupts(
+/// Runs the engine inside a shard (home = 0, guest = 1). The shard clock
+/// opened at the batch instant, so the schedule starts there.
+fn run_in_shard(shard: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigration {
+    let (result, schedule) = engine::run_sliced(
         shard,
         DeviceId(0),
         DeviceId(1),
@@ -442,19 +418,15 @@ fn run_in_shard(shard: &mut FluxWorld, req: &MigrationRequest, start: SimTime) -
         &req.cfg,
         &req.interrupts,
     );
-    let now = shard.clock.now();
-    shard.telemetry.finish(now);
-    let (stages, radios) = shard.probe.take();
-    assemble(result, &stages, &radios, start, now.since(start))
+    shard.telemetry.finish(shard.clock.now());
+    assemble(result, schedule)
 }
 
 /// Executes a request that cannot be sharded (unknown device, home ==
 /// guest) against the main world. The engine refuses such requests
 /// pre-flight, before consuming virtual time or randomness.
 fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigration {
-    let t0 = world.clock.now();
-    let ambient = std::mem::replace(&mut world.probe, ExecProbe::enabled());
-    let result = engine::run_with_interrupts(
+    let (result, schedule) = engine::run_sliced(
         world,
         req.home,
         req.guest,
@@ -462,20 +434,11 @@ fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigr
         &req.cfg,
         &req.interrupts,
     );
-    let (stages, radios) = world.probe.take();
-    world.probe = ambient;
-    let parts = assemble(result, &stages, &radios, t0, world.clock.now().since(t0));
-    ExecutedMigration {
-        outcome: parts.outcome,
-        schedule: parts.schedule,
-        wall: parts.wall,
-        violations: parts.violations,
-        telemetry: Telemetry::disabled(),
-    }
+    assemble(result, schedule)
 }
 
-/// Classifies one engine result and cuts the probe windows into the slice
-/// schedule covering its measured wall time.
+/// Classifies one engine result and pairs it with its slice schedule;
+/// the telemetry record is left empty for the caller to fill.
 ///
 /// A rolled-back request holds its devices for its whole measured span
 /// (attempts, backoff, rollback), and any air time its partial transfers
@@ -483,19 +446,8 @@ fn execute_direct(world: &mut FluxWorld, req: &MigrationRequest) -> ExecutedMigr
 /// pre-flight and free (empty schedule).
 fn assemble(
     result: Result<crate::MigrationReport, FluxError>,
-    stages: &[StageWindow],
-    radios: &[RadioWindow],
-    start: SimTime,
-    wall: SimDuration,
-) -> ExecParts {
-    let (schedule, violations) = build_schedule(stages, radios, start, wall);
-    // The schedule must tile the wall exactly; a violation means the
-    // engine's probe windows escaped the measured span — accounting
-    // corruption that used to be clamped silently.
-    debug_assert_eq!(
-        violations, 0,
-        "probe windows violated the wall-coverage invariant"
-    );
+    schedule: Vec<Slice>,
+) -> ExecutedMigration {
     let outcome = match result {
         Ok(report) => FleetOutcome::Completed(report),
         Err(error) => {
@@ -514,11 +466,10 @@ fn assemble(
             }
         }
     };
-    ExecParts {
+    ExecutedMigration {
         outcome,
         schedule,
-        wall,
-        violations,
+        telemetry: Telemetry::disabled(),
     }
 }
 

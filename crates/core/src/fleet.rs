@@ -40,8 +40,9 @@
 //! shard construction and the conflict-group rule that lets
 //! [`ParallelExecutor`](crate::ParallelExecutor) run device-disjoint
 //! requests on OS threads. Execution yields a stage-level
-//! [slice schedule](crate::Slice) per request: every engine stage the
-//! probe observed, cut into CPU stretches and radio windows.
+//! [slice schedule](crate::Slice) per request, which the engine logs as
+//! it runs: every stage's CPU stretches and every radio window it keyed,
+//! back to back over the request's isolated wall time.
 //!
 //! The scheduler then re-times that schedule on the shared fleet
 //! [`Timeline`] with a per-request *stage cursor*: each CPU slice is an
@@ -612,7 +613,6 @@ impl FleetScheduler {
         let mut busy_target: BTreeSet<usize> = BTreeSet::new();
         let mut flights: BTreeMap<u64, FlightRecord> = BTreeMap::new();
         let mut serialized = SimDuration::ZERO;
-        let mut violations = 0u64;
         let mut peak = 0usize;
         let mut now = start;
         // Admission bookkeeping: `queue[next_fresh..]` has never been
@@ -634,8 +634,7 @@ impl FleetScheduler {
                              timeline: &mut Timeline<FleetEvent>,
                              busy_source: &mut BTreeSet<usize>,
                              busy_target: &mut BTreeSet<usize>,
-                             serialized: &mut SimDuration,
-                             violations: &mut u64|
+                             serialized: &mut SimDuration|
              -> bool {
                 let req = &requests[idx];
                 let admissible = active.len() < self.cfg.max_in_flight
@@ -655,7 +654,6 @@ impl FleetScheduler {
                 let home_cell_capacity =
                     topology.cells()[medium.cell_of(req.home.0 as u64)].capacity_mbps;
                 *serialized += isolated_span(&exec, home_cell_capacity);
-                *violations += u64::from(exec.violations);
                 world.telemetry.counter_add("flux.fleet.admitted", 1);
                 let ExecutedMigration {
                     outcome, schedule, ..
@@ -681,7 +679,6 @@ impl FleetScheduler {
                     &mut busy_source,
                     &mut busy_target,
                     &mut serialized,
-                    &mut violations,
                 ) {
                     still_parked.push(idx);
                 }
@@ -699,7 +696,6 @@ impl FleetScheduler {
                     &mut busy_source,
                     &mut busy_target,
                     &mut serialized,
-                    &mut violations,
                 ) {
                     parked.push(idx);
                 }
@@ -775,15 +771,6 @@ impl FleetScheduler {
         world
             .telemetry
             .gauge_set("flux.fleet.peak_in_flight", peak as f64);
-        if violations > 0 {
-            // Probe windows escaped a measured wall somewhere: the slices
-            // were clamped so the schedule stayed consistent, but the shape
-            // is suspect. Zero on every healthy run (and not emitted then,
-            // so healthy telemetry bytes are unchanged).
-            world
-                .telemetry
-                .counter_add("flux.fleet.accounting_violations", violations);
-        }
 
         let flights: Vec<FlightRecord> = flights.into_values().collect();
         let completed = flights.iter().filter(|f| f.outcome.is_completed()).count();

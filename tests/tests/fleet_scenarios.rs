@@ -12,14 +12,17 @@
 //! must reproduce a direct `migrate` run's report *exactly* (same Debug
 //! rendering, same stage times) once the direct run is handed the same
 //! forked RNG stream the executor assigns request 1, with the fleet
-//! makespan equal to the report's wall total.
+//! makespan equal to the report's wall total — and the clock contract
+//! where the engine's clock meets the fleet's: stage-anchored interrupt
+//! offsets count isolated engine time, untouched by medium contention.
 
 mod common;
 
 use flux_appfw::ActivityState;
 use flux_core::{
-    migrate, FleetConfig, FleetScheduler, MigrationConfig, MigrationRequest, MigrationSpec,
-    OracleSnapshot, RetryPolicy, ScenarioOutcome, FLEET_RNG_STREAM,
+    migrate, DeviceId, FleetConfig, FleetScheduler, FlightRecord, LifecycleEvent, MigrationConfig,
+    MigrationRequest, MigrationSpec, MigrationStage, OracleSnapshot, RetryPolicy, ScenarioOutcome,
+    FLEET_RNG_STREAM,
 };
 use flux_simcore::SimDuration;
 
@@ -226,4 +229,64 @@ fn single_request_fleet_matches_direct_migrate_exactly() {
     assert_eq!(report.makespan, reference.stages.wall_total());
     assert_eq!(report.makespan, report.serialized_makespan);
     assert_eq!(report.completed, 1);
+}
+
+#[test]
+fn interrupt_offsets_count_isolated_engine_time_under_contention() {
+    // Executors run every migration to completion in its shard before the
+    // fleet applies medium contention, so an `At(stage, offset)` interrupt
+    // lands at the same engine instant whether its request flies alone or
+    // shares the air.
+    const APPS: [&str; 4] = ["Instagram", "Candy Crush Saga", "Snapchat", "Vine"];
+    let victim = |pairs: &[(DeviceId, DeviceId, String)]| {
+        let (home, guest, pkg) = &pairs[0];
+        MigrationRequest::new(1, *home, *guest, pkg)
+            .with_interrupt(
+                MigrationStage::Checkpoint,
+                SimDuration::from_millis(10),
+                LifecycleEvent::Pause,
+            )
+            .with_interrupt(
+                MigrationStage::Transfer,
+                SimDuration::from_secs(1),
+                LifecycleEvent::Stop,
+            )
+    };
+    let scheduler = FleetScheduler::new(FleetConfig {
+        max_in_flight: APPS.len(),
+        ..FleetConfig::default()
+    })
+    .unwrap();
+
+    // Alone: the same staging (seed and device ids), one request.
+    let (mut world, pairs) = common::fleet_world(&APPS, 9001);
+    let alone = scheduler.run(&mut world, vec![victim(&pairs)]).unwrap();
+    // Contended: every pair migrates at once through the default one-cell
+    // medium.
+    let (mut world, pairs) = common::fleet_world(&APPS, 9001);
+    let mut batch = vec![victim(&pairs)];
+    batch.extend(
+        pairs[1..]
+            .iter()
+            .zip(2..)
+            .map(|((home, guest, pkg), id)| MigrationRequest::new(id, *home, *guest, pkg)),
+    );
+    let contended = scheduler.run(&mut world, batch).unwrap();
+    assert_eq!(contended.peak_in_flight, APPS.len());
+
+    let (solo, shared) = (&alone.flights[0], &contended.flights[0]);
+    let solo_report = solo.outcome.report().expect("completes alone");
+    let shared_report = shared.outcome.report().expect("completes under contention");
+    assert_eq!(solo_report.interrupts.len(), 2, "both interrupts land");
+    assert_eq!(solo_report.interrupts, shared_report.interrupts);
+    // The engine run itself is the isolated one in both fleets.
+    assert_eq!(format!("{solo_report:?}"), format!("{shared_report:?}"));
+    // ... while contention really stretched the flight on the fleet clock.
+    let window = |f: &FlightRecord| f.transfer_end.since(f.transfer_start);
+    assert!(
+        window(shared) > window(solo),
+        "contended transfer window {} is not longer than the solo {}",
+        window(shared),
+        window(solo)
+    );
 }

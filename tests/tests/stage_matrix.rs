@@ -9,7 +9,7 @@
 //! cases: blanketing their windows must not perturb the migration at
 //! all. A final set of tests pins the engine's telemetry contract: every
 //! `migration.stage.*` span corresponds to a declared stage, and every
-//! public entry point routes through [`flux_core::engine::run`]
+//! public entry point routes through [`flux_core::engine::run_sliced`]
 //! (observable as the `flux.engine.runs` counter).
 
 mod common;
@@ -276,8 +276,8 @@ fn emitted_stage_spans_match_the_declared_stages() {
 }
 
 /// Every public entry point — `migrate` under any `MigrationSpec` and
-/// the fleet scheduler — executes through `engine::run`, observable as
-/// one `flux.engine.runs` tick per migration.
+/// the fleet scheduler — executes through `engine::run_sliced`,
+/// observable as one `flux.engine.runs` tick per migration.
 #[test]
 fn every_entry_point_runs_through_the_engine() {
     let engine_runs = |world: &mut flux_core::FluxWorld| {
