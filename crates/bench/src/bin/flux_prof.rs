@@ -138,9 +138,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if flux_telemetry::json::parse(&trace).is_err()
-        || flux_telemetry::json::parse(&snapshot).is_err()
-    {
+    if serde::parse(&trace).is_err() || serde::parse(&snapshot).is_err() {
         eprintln!("flux-prof: exported JSON does not parse");
         return ExitCode::FAILURE;
     }

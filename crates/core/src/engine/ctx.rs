@@ -13,8 +13,8 @@ use crate::world::{fnv, DeviceId, FluxWorld, WorldError};
 use flux_device::DeviceProfile;
 use flux_kernel::ProcessImage;
 use flux_net::DEFAULT_CHUNK;
-use flux_simcore::{ByteSize, CostModel, FaultPlan, SimDuration, SimTime, TraceKind};
-use flux_telemetry::LaneId;
+use flux_simcore::{ByteSize, CostModel, FaultPlan, SimDuration, SimTime};
+use flux_telemetry::{LaneId, TraceKind};
 use flux_workloads::AppSpec;
 
 use super::failure::StageFailure;

@@ -22,8 +22,8 @@ use crate::errors::FluxError;
 use crate::migration::{MigrationConfig, MigrationReport, MigrationSpec, StageInterrupt};
 use crate::world::{DeviceId, FluxWorld};
 use flux_appfw::LifecycleEvent;
-use flux_simcore::{FaultPlan, SimTime, TraceKind};
-use flux_telemetry::LaneId;
+use flux_simcore::{FaultPlan, SimTime};
+use flux_telemetry::{LaneId, TraceKind};
 
 /// Migrates an app as described by `spec`.
 ///
@@ -144,10 +144,11 @@ fn drive(
             Err(StageFailure::FaultAborted { stage, detail, .. }) => {
                 prog.faults += 1;
                 let now = world.clock.now();
-                world.telemetry.emit_kind(
-                    now,
+                world.telemetry.instant(
+                    LaneId::WORLD,
                     TraceKind::Fault,
                     "migration.fault",
+                    now,
                     format!("{stage}: {detail}"),
                 );
                 if prog.attempts >= policy.max_attempts {
@@ -176,10 +177,11 @@ fn drive(
                 world.telemetry.exit(backoff_span, world.clock.now());
                 prog.backoff += backoff;
                 world.telemetry.counter_add("flux.migration.retries", 1);
-                world.telemetry.emit_kind(
-                    world.clock.now(),
+                world.telemetry.instant(
+                    LaneId::WORLD,
                     TraceKind::Retry,
                     "migration.retry",
+                    world.clock.now(),
                     format!(
                         "attempt {} of {} resumes at {stage} after {backoff} backoff",
                         prog.attempts + 1,
@@ -294,10 +296,11 @@ fn deliver_due(stage: &dyn Stage, cx: &mut StageCtx<'_>) -> Result<(), StageFail
         if !cx.world.device(cx.mig.home)?.apps.contains_key(package) {
             continue;
         }
-        cx.world.telemetry.emit_kind(
-            now,
+        cx.world.telemetry.instant(
+            LaneId::WORLD,
             TraceKind::Fault,
             "migration.interrupt",
+            now,
             format!(
                 "{:?} anchored to {} delivered during {}",
                 int.event,
@@ -352,10 +355,11 @@ fn unwind(
         .telemetry
         .enter(LaneId::WORLD, "migration.rollback", now);
     world.telemetry.counter_add("flux.migration.rollbacks", 1);
-    world.telemetry.emit_kind(
-        now,
+    world.telemetry.instant(
+        LaneId::WORLD,
         TraceKind::Rollback,
         "migration.rollback",
+        now,
         format!(
             "{package}: tearing down guest state, resuming on {}",
             mig.home_name
@@ -416,10 +420,11 @@ fn unwind(
         }
         .into());
     }
-    world.telemetry.emit_kind(
-        world.clock.now(),
+    world.telemetry.instant(
+        LaneId::WORLD,
         TraceKind::Rollback,
         "migration.rollback",
+        world.clock.now(),
         format!("{package}: home-side invariants verified"),
     );
     let done = world.clock.now();

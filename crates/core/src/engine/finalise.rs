@@ -10,7 +10,7 @@ use super::failure::StageFailure;
 use super::{Stage, StageCtx, Yield};
 use crate::migration::MigrationStage;
 use flux_simcore::SimDuration;
-use flux_telemetry::stage_metric_name;
+use flux_telemetry::{stage_metric_name, LaneId, TraceKind};
 
 /// The finalise stage (home-side removal + completion accounting).
 pub struct Finalise;
@@ -65,9 +65,11 @@ impl Stage for Finalise {
                 stages.overlap_saved.as_millis(),
             );
         }
-        cx.world.telemetry.emit(
-            cx.world.clock.now(),
+        cx.world.telemetry.instant(
+            LaneId::WORLD,
+            TraceKind::Generic,
             "migration.complete",
+            cx.world.clock.now(),
             format!(
                 "{package}: {} -> {} in {} ({} over the air)",
                 cx.mig.home_name,

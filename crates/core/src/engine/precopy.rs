@@ -19,8 +19,8 @@ use crate::migration::{
 use crate::world::fnv;
 use flux_kernel::criu;
 use flux_net::DEFAULT_CHUNK;
-use flux_simcore::{SimDuration, TraceKind};
-use flux_telemetry::LaneId;
+use flux_simcore::SimDuration;
+use flux_telemetry::{LaneId, TraceKind};
 
 /// The pre-copy stage (iterative pre-dump streaming, home device).
 pub struct Precopy;
@@ -108,10 +108,11 @@ impl Stage for Precopy {
                 .radio(now, radio.duration, radio.bytes_delivered)?;
             if !radio.complete() {
                 cx.prog.faults += 1;
-                cx.world.telemetry.emit_kind(
-                    cx.world.clock.now(),
+                cx.world.telemetry.instant(
+                    LaneId::WORLD,
                     TraceKind::Fault,
                     "migration.precopy.abandoned",
+                    cx.world.clock.now(),
                     format!(
                         "link dropped in round {round}; coverage stays at {} streamed round(s)",
                         rounds

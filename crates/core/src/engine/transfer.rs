@@ -22,8 +22,8 @@ use super::{Stage, StageCtx, Yield};
 use crate::migration::{MigrationStage, StageTimes};
 use crate::pairing::verify_app;
 use flux_net::{ChunkedOutcome, ChunkedTransfer, DEFAULT_CHUNK};
-use flux_simcore::{ByteSize, FusedLanes, SimDuration, SimTime, TraceKind};
-use flux_telemetry::LaneId;
+use flux_simcore::{ByteSize, FusedLanes, SimDuration, SimTime};
+use flux_telemetry::{LaneId, TraceKind};
 
 /// A serial radio window priced by [`flux_net`] and not yet fully
 /// drained onto the virtual clock. Lives in
@@ -267,10 +267,11 @@ fn settle_window(
     // Each congested chunk is one fault event that hit this migration.
     cx.prog.faults += radio.congested_chunks as u32;
     if radio.congested_chunks > 0 {
-        cx.world.telemetry.emit_kind(
-            cx.world.clock.now(),
+        cx.world.telemetry.instant(
+            LaneId::WORLD,
             TraceKind::Fault,
             "net.fault",
+            cx.world.clock.now(),
             format!(
                 "congestion stretched {} of the {} chunks sent this attempt",
                 radio.congested_chunks,

@@ -11,6 +11,7 @@ use crate::world::{DeviceId, FluxWorld, Pairing, WorldError};
 use flux_fs::{sync, SyncOptions, SyncReport};
 use flux_services::svc::package::{PackageManagerService, PackageRecord};
 use flux_simcore::ByteSize;
+use flux_telemetry::{LaneId, TraceKind};
 
 /// The outcome of one pairing operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,9 +142,11 @@ pub fn pair(
     let elapsed = world.clock.now() - started;
     record_fs_metrics(world, &system_sync);
     record_fs_metrics(world, &app_sync);
-    world.telemetry.emit(
-        world.clock.now(),
+    world.telemetry.instant(
+        LaneId::WORLD,
+        TraceKind::Generic,
         "pairing.complete",
+        world.clock.now(),
         format!("{home_name} -> guest, {shipped} shipped"),
     );
     Ok(PairingReport {

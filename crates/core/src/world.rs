@@ -18,7 +18,7 @@ use flux_net::NetworkEnv;
 use flux_services::svc::alarm::AlarmManagerService;
 use flux_services::svc::package::PackageManagerService;
 use flux_services::{boot_android, Delivery, ServiceHost, ServicesConfig};
-use flux_simcore::{ByteSize, CostModel, FaultPlan, SimClock, SimDuration, SimTime, Trace, Uid};
+use flux_simcore::{ByteSize, CostModel, FaultPlan, SimClock, SimDuration, SimTime, Uid};
 use flux_telemetry::{LaneId, Telemetry};
 use flux_workloads::{Action, AppSpec};
 use std::collections::{BTreeMap, BTreeSet};
@@ -156,8 +156,8 @@ pub struct FluxWorld {
     pub clock: SimClock,
     /// Shared wireless environment.
     pub net: NetworkEnv,
-    /// The observability hub: spans, instant events (the former flat
-    /// trace) and metrics. See `flux_telemetry`.
+    /// The observability hub: spans, instant events (the world's one
+    /// event log) and metrics. See `flux_telemetry`.
     pub telemetry: Telemetry,
     /// Adaptive Replay policy.
     pub policy: ReplayPolicy,
@@ -174,12 +174,6 @@ pub struct FluxWorld {
 }
 
 impl FluxWorld {
-    /// The flat event log (compatibility accessor for code written against
-    /// the pre-telemetry `world.trace` field).
-    pub fn trace(&self) -> &Trace {
-        self.telemetry.events()
-    }
-
     /// Boots a device: kernel, system services, system partition.
     pub fn add_device(
         &mut self,

@@ -41,6 +41,7 @@ use flux_core::{
 };
 use flux_device::DeviceProfile;
 use flux_simcore::{SimRng, SimTime};
+use flux_telemetry::{chrome_trace, json_snapshot};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -335,8 +336,8 @@ impl PreparedBatch {
             record: BatchRecord {
                 seq: batch,
                 request_ids: self.request_ids,
-                chrome_trace: flux_telemetry::chrome_trace(&world.telemetry),
-                telemetry_json: flux_telemetry::json_snapshot(&world.telemetry),
+                chrome_trace: chrome_trace(&world.telemetry),
+                telemetry_json: json_snapshot(&world.telemetry),
                 report,
             },
             audits,

@@ -12,8 +12,6 @@
 //! * [`SimRng`] — a seedable RNG so workload noise is deterministic.
 //! * [`CostModel`] — per-operation CPU/serialisation cost parameters used by
 //!   the checkpoint, restore and replay paths.
-//! * [`trace`] — a lightweight event trace used by tests and the benchmark
-//!   harnesses to explain where time went.
 //! * [`fault`] — seeded [`FaultPlan`] schedules of link drops, congestion
 //!   spikes and kernel stalls that the transfer and migration paths consult
 //!   when fault injection is enabled.
@@ -28,7 +26,6 @@ pub mod pipeline;
 pub mod rng;
 pub mod size;
 pub mod time;
-pub mod trace;
 pub mod wire;
 
 pub use cost::CostModel;
@@ -38,7 +35,6 @@ pub use pipeline::{FusedLanes, PipeLane, Pipeline, Timeline};
 pub use rng::{SimRng, SimRngState};
 pub use size::ByteSize;
 pub use time::{SimClock, SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};
 pub use wire::{WireError, WireReader, WireWriter};
 
 /// A monotonically increasing id allocator.

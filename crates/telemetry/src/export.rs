@@ -7,10 +7,10 @@
 //! [`Telemetry::finish`] before exporting so no span is left open (open
 //! spans export with zero duration).
 
-use crate::json::{escape, JsonValue};
 use crate::metrics::Metric;
-use crate::Telemetry;
-use flux_simcore::{SimDuration, TraceKind};
+use crate::{Telemetry, TraceKind};
+use flux_simcore::SimDuration;
+use serde::{write_escaped, write_f64, JsonValue};
 use std::fmt::Write as _;
 
 /// Span-name prefix shared by every migration stage span. The suffix is
@@ -76,48 +76,46 @@ fn us(ns: u64) -> String {
 pub fn chrome_trace(tele: &Telemetry) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
+    let mut sep = |out: &mut String| {
         if !std::mem::take(&mut first) {
             out.push(',');
         }
-        out.push_str(&ev);
     };
     for (i, lane) in tele.lanes().iter().enumerate() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{i},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(lane)
-            ),
+        sep(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{i},\"tid\":0,\"args\":{{\"name\":"
         );
+        write_escaped(&mut out, lane);
+        out.push_str("}}");
     }
     for span in tele.spans() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":0}}",
-                escape(&span.name),
-                us(span.start.as_nanos()),
-                us(span.duration().as_nanos()),
-                span.lane.0
-            ),
+        sep(&mut out);
+        out.push_str("{\"name\":");
+        write_escaped(&mut out, &span.name);
+        let _ = write!(
+            out,
+            ",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":0}}",
+            us(span.start.as_nanos()),
+            us(span.duration().as_nanos()),
+            span.lane.index()
         );
     }
     for ev in tele.instants() {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                 \"pid\":{},\"tid\":0,\"args\":{{\"detail\":\"{}\"}}}}",
-                escape(&ev.name),
-                kind_str(ev.kind),
-                us(ev.at.as_nanos()),
-                ev.lane.0,
-                escape(&ev.detail)
-            ),
+        sep(&mut out);
+        out.push_str("{\"name\":");
+        write_escaped(&mut out, &ev.name);
+        let _ = write!(
+            out,
+            ",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":0,\
+             \"args\":{{\"detail\":",
+            kind_str(ev.kind),
+            us(ev.at.as_nanos()),
+            ev.lane.index()
         );
+        write_escaped(&mut out, &ev.detail);
+        out.push_str("}}");
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -125,7 +123,7 @@ pub fn chrome_trace(tele: &Telemetry) -> String {
 
 /// Exports the hub as a plain JSON snapshot: lanes, spans, instant events
 /// and metrics. Used by benches and golden tests; parse it back with
-/// [`crate::json::parse`].
+/// `serde::parse`.
 pub fn json_snapshot(tele: &Telemetry) -> String {
     let spans = tele
         .spans()
@@ -133,7 +131,7 @@ pub fn json_snapshot(tele: &Telemetry) -> String {
         .map(|s| {
             JsonValue::Obj(vec![
                 ("name".into(), JsonValue::Str(s.name.clone())),
-                ("lane".into(), JsonValue::Num(s.lane.0.to_string())),
+                ("lane".into(), JsonValue::Num(s.lane.index().to_string())),
                 (
                     "parent".into(),
                     s.parent
@@ -159,20 +157,24 @@ pub fn json_snapshot(tele: &Telemetry) -> String {
         .map(|e| {
             JsonValue::Obj(vec![
                 ("at_ns".into(), JsonValue::Num(e.at.as_nanos().to_string())),
-                ("lane".into(), JsonValue::Num(e.lane.0.to_string())),
+                ("lane".into(), JsonValue::Num(e.lane.index().to_string())),
                 ("kind".into(), JsonValue::Str(kind_str(e.kind).into())),
                 ("name".into(), JsonValue::Str(e.name.clone())),
                 ("detail".into(), JsonValue::Str(e.detail.clone())),
             ])
         })
         .collect();
-    let metrics = tele
+    let metrics: Vec<(String, JsonValue)> = tele
         .metrics()
         .iter()
         .map(|(name, metric)| {
             let v = match metric {
                 Metric::Counter(c) => JsonValue::Num(c.to_string()),
-                Metric::Gauge(g) => JsonValue::Num(fmt_f64(*g)),
+                Metric::Gauge(g) => {
+                    let mut lexeme = String::new();
+                    write_f64(&mut lexeme, *g);
+                    JsonValue::Num(lexeme)
+                }
                 Metric::Histogram(h) => JsonValue::Obj(vec![
                     (
                         "bounds".into(),
@@ -199,7 +201,7 @@ pub fn json_snapshot(tele: &Telemetry) -> String {
             (name.to_owned(), v)
         })
         .collect();
-    JsonValue::Obj(vec![
+    let doc = JsonValue::Obj(vec![
         (
             "lanes".into(),
             JsonValue::Arr(
@@ -216,21 +218,8 @@ pub fn json_snapshot(tele: &Telemetry) -> String {
             "dropped_events".into(),
             JsonValue::Num(tele.dropped_events().to_string()),
         ),
-    ])
-    .to_string()
-}
-
-/// Deterministic `f64` rendering: Rust's shortest-round-trip formatting,
-/// with a `.0` appended to integral values so the output stays a JSON
-/// float. Identical bits render identically, which is all byte-stability
-/// needs.
-fn fmt_f64(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains(['.', 'e', 'E', 'n', 'i']) {
-        s
-    } else {
-        format!("{s}.0")
-    }
+    ]);
+    serde::to_json(&doc)
 }
 
 /// A per-stage migration profile: Figure 13's stage breakdown computed
@@ -319,8 +308,6 @@ impl MigrationProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
-    use crate::LaneId;
     use flux_simcore::SimTime;
 
     fn hub() -> Telemetry {
@@ -345,7 +332,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_lane_processes() {
         let tele = hub();
-        let doc = json::parse(&chrome_trace(&tele)).expect("valid json");
+        let doc = serde::parse(&chrome_trace(&tele)).expect("valid json");
         let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
         // 2 process_name metadata + 1 span + 1 instant.
         assert_eq!(events.len(), 4);
@@ -363,21 +350,21 @@ mod tests {
     fn snapshot_round_trips_and_is_stable() {
         let tele = hub();
         let snap = json_snapshot(&tele);
-        let parsed = json::parse(&snap).expect("valid json");
-        assert_eq!(parsed.to_string(), snap);
+        let parsed = serde::parse(&snap).expect("valid json");
+        assert_eq!(serde::to_json(&parsed), snap);
         assert_eq!(json_snapshot(&hub()), snap);
         let metrics = parsed.get("metrics").unwrap();
         assert_eq!(
             metrics.get("flux.net.goodput_mbps"),
-            Some(&json::JsonValue::Num("12.5".into()))
+            Some(&JsonValue::Num("12.5".into()))
         );
     }
 
     #[test]
     fn disabled_hub_exports_empty_but_valid_documents() {
         let tele = Telemetry::disabled();
-        assert!(json::parse(&chrome_trace(&tele)).is_ok());
-        let snap = json::parse(&json_snapshot(&tele)).unwrap();
+        assert!(serde::parse(&chrome_trace(&tele)).is_ok());
+        let snap = serde::parse(&json_snapshot(&tele)).unwrap();
         assert_eq!(snap.get("spans").unwrap().as_arr().unwrap().len(), 0);
     }
 
@@ -395,18 +382,12 @@ mod tests {
 
     #[test]
     fn gauge_rendering_marks_integral_values_as_floats() {
-        assert_eq!(fmt_f64(42.0), "42.0");
-        assert_eq!(fmt_f64(42.25), "42.25");
         let mut tele = Telemetry::new();
         tele.gauge_set("flux.x", 3.0);
-        assert!(json_snapshot(&tele).contains("\"flux.x\":3.0"));
-    }
-
-    #[test]
-    fn instant_on_world_lane_keeps_lane_zero() {
-        let mut tele = Telemetry::new();
-        tele.emit(SimTime::from_millis(1), "net.chunk", "chunk 0");
-        assert_eq!(tele.instants()[0].lane, LaneId::WORLD);
+        tele.gauge_set("flux.y", 42.25);
+        let snap = json_snapshot(&tele);
+        assert!(snap.contains("\"flux.x\":3.0"));
+        assert!(snap.contains("\"flux.y\":42.25"));
     }
 
     #[test]

@@ -1,362 +1,61 @@
-//! A minimal JSON reader/printer.
+//! Scalar-level checks of the exporters' JSON against the workspace codec.
 //!
-//! The exporters in this crate emit JSON by hand (the workspace's vendored
-//! `serde` is a no-op stub), so this module provides the other half: a
-//! small recursive-descent parser and a printer that round-trip exporter
-//! output for validation in tests and in `flux-prof`'s self-check.
-//!
-//! Numbers are kept as their source text ([`JsonValue::Num`] holds the
-//! lexeme), so `parse` → `to_string` reproduces the input byte-for-byte for
-//! any document this crate's exporters produce — which is what the
-//! byte-stability tests rely on.
-
-use std::fmt;
-
-/// A parsed JSON document.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, stored as its source lexeme to round-trip exactly.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object; insertion order is preserved.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The elements if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The string contents if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number parsed as `f64`, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON syntax error with a byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the error.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses a JSON document. Trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
-    Ok(v)
-}
-
-/// Escapes `s` for embedding inside a JSON string literal (no quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Null => write!(f, "null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Num(n) => write!(f, "{n}"),
-            JsonValue::Str(s) => write!(f, "\"{}\"", escape(s)),
-            JsonValue::Arr(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            JsonValue::Obj(pairs) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "\"{}\":{v}", escape(k))?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
-        JsonError {
-            at: self.pos,
-            message: message.to_owned(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let lexeme = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        if lexeme.parse::<f64>().is_err() {
-            return Err(self.err("malformed number"));
-        }
-        Ok(JsonValue::Num(lexeme.to_owned()))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
+//! The exporters write through the vendored `serde` codec and
+//! `serde::parse` reads the output back. These tests pin the scalars an
+//! exporter emits (nulls for open spans, integer nanoseconds, float gauge
+//! lexemes, escaped names) and that a cut-off export is rejected rather
+//! than read as a shorter document.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{chrome_trace, json_snapshot, Telemetry, TraceKind};
+    use flux_simcore::SimTime;
+    use serde::{parse, JsonValue};
+
+    fn hub() -> Telemetry {
+        let mut tele = Telemetry::new();
+        let home = tele.lane("home");
+        tele.enter(home, "migration.stage.transfer", SimTime::from_millis(2));
+        tele.instant(
+            home,
+            TraceKind::Fault,
+            "net.drop",
+            SimTime::from_millis(3),
+            "a\nb",
+        );
+        tele.counter_add("flux.net.bytes_transferred", 4096);
+        tele.gauge_set("flux.net.goodput_mbps", -1.5e3);
+        tele
+    }
 
     #[test]
     fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), JsonValue::Null);
-        assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse("-1.5e3").unwrap(), JsonValue::Num("-1.5e3".into()));
-        assert_eq!(parse("\"a\\nb\"").unwrap(), JsonValue::Str("a\nb".into()));
-    }
-
-    #[test]
-    fn compact_documents_round_trip_byte_identically() {
-        let src = r#"{"a":[1,2.5,"x\"y"],"b":{"c":null,"d":true},"e":-7}"#;
-        let v = parse(src).unwrap();
-        assert_eq!(v.to_string(), src);
-        assert_eq!(parse(&v.to_string()).unwrap(), v);
-    }
-
-    #[test]
-    fn object_order_is_preserved() {
-        let v = parse(r#"{"z":1,"a":2}"#).unwrap();
-        assert_eq!(v.to_string(), r#"{"z":1,"a":2}"#);
-        assert_eq!(v.get("z"), Some(&JsonValue::Num("1".into())));
-    }
-
-    #[test]
-    fn control_characters_escape_as_unicode() {
-        let v = JsonValue::Str("a\u{1}b".into());
-        assert_eq!(v.to_string(), "\"a\\u0001b\"");
-        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        let snap = parse(&json_snapshot(&hub())).unwrap();
+        let span = &snap.get("spans").unwrap().as_arr().unwrap()[0];
+        assert_eq!(span.get("parent"), Some(&JsonValue::Null));
+        assert_eq!(span.get("end_ns"), Some(&JsonValue::Null));
+        assert_eq!(span.get("start_ns").unwrap().as_u64(), Some(2_000_000));
+        let instant = &snap.get("instants").unwrap().as_arr().unwrap()[0];
+        assert_eq!(instant.get("detail").unwrap().as_str(), Some("a\nb"));
+        let metrics = snap.get("metrics").unwrap();
+        assert_eq!(
+            metrics.get("flux.net.bytes_transferred").unwrap().as_u64(),
+            Some(4096)
+        );
+        assert_eq!(
+            metrics.get("flux.net.goodput_mbps").unwrap().as_f64(),
+            Some(-1500.0)
+        );
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("12 34").is_err());
-        assert!(parse("\"open").is_err());
+        for doc in [chrome_trace(&hub()), json_snapshot(&hub())] {
+            assert!(parse(&doc).is_ok());
+            for cut in [1, doc.len() / 2, doc.len() - 1] {
+                assert!(parse(&doc[..cut]).is_err(), "prefix of {cut} bytes parsed");
+            }
+            assert!(parse(&format!("{doc} {doc}")).is_err());
+        }
     }
 }

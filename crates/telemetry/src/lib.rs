@@ -5,9 +5,9 @@
 //! crate provides the machinery to answer that from one instrumented run:
 //!
 //! * [`Telemetry`] — the per-world hub: hierarchical **spans** over virtual
-//!   time (enter/exit with parent links, one lane per simulated device),
-//!   lane-attributed **instant events**, and a flat event log that stays
-//!   API-compatible with the original `flux_simcore::Trace`.
+//!   time (enter/exit with parent links, one lane per simulated device)
+//!   and lane-attributed **instant events** — the one event log, optionally
+//!   capped, with drops counted.
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket histograms
 //!   under the `flux.<crate>.<name>` naming scheme, held in a `BTreeMap`
 //!   so snapshot iteration order — and therefore exporter output — is
@@ -16,8 +16,9 @@
 //!   ([`export::chrome_trace`]), a per-stage migration profile table
 //!   ([`export::MigrationProfile`]) and a plain JSON snapshot
 //!   ([`export::json_snapshot`]) for benches and golden tests.
-//! * [`json`] — a minimal JSON reader/printer used to validate and
-//!   round-trip exporter output without external dependencies.
+//!
+//! The exporters write JSON with the vendored `serde` codec, and
+//! `serde::parse` reads it back: one JSON codec for the whole workspace.
 //!
 //! Everything is deterministic: telemetry consumes no randomness and never
 //! charges the virtual clock, so enabling it cannot perturb an experiment.
@@ -46,7 +47,7 @@
 //! ```
 
 pub mod export;
-pub mod json;
+mod json;
 pub mod metrics;
 
 pub use export::{
@@ -55,16 +56,45 @@ pub use export::{
 };
 pub use metrics::{Histogram, Metric, MetricsRegistry};
 
-use flux_simcore::{SimDuration, SimTime, Trace, TraceKind};
+use flux_simcore::{SimDuration, SimTime};
+use std::collections::HashMap;
 
 /// Identifies one lane (a simulated device or process) in the span tree
 /// and the Chrome trace. Lane 0 is always the world lane.
+///
+/// The field is private: only [`Telemetry::lane`] mints ids, so an id
+/// always indexes a lane of the hub that issued it. Spans and instants
+/// index their lane directly; an id from another hub is a caller bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct LaneId(pub u16);
+pub struct LaneId(u32);
 
 impl LaneId {
     /// The implicit world lane every hub starts with.
     pub const WORLD: LaneId = LaneId(0);
+
+    /// The lane's position in [`Telemetry::lanes`] (its Chrome trace pid).
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What class of event an instant records.
+///
+/// Figure-13-style accounting wants fault, retry and rollback time kept
+/// apart from ordinary progress events, so harnesses can balance the books
+/// (time charged = stage time + backoff + stall time) without parsing
+/// detail strings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum TraceKind {
+    /// Ordinary progress event.
+    #[default]
+    Generic,
+    /// An injected fault bit a running operation.
+    Fault,
+    /// A failed stage is being retried (backoff charged).
+    Retry,
+    /// A failed migration is being rolled back to the home device.
+    Rollback,
 }
 
 /// Identifies one span within a [`Telemetry`] hub.
@@ -137,11 +167,16 @@ pub struct InstantEvent {
 pub struct Telemetry {
     enabled: bool,
     lanes: Vec<String>,
+    /// Lane name → id, so interning is one hash lookup.
+    lane_ids: HashMap<String, LaneId>,
     spans: Vec<Span>,
     /// Per-lane stack of open spans (indices into `spans`).
     open: Vec<Vec<u32>>,
     instants: Vec<InstantEvent>,
-    events: Trace,
+    /// Optional cap on `instants.len()`; `None` means unbounded.
+    capacity: Option<usize>,
+    /// Instants discarded because the cap was reached.
+    dropped: u64,
     metrics: MetricsRegistry,
 }
 
@@ -157,10 +192,12 @@ impl Telemetry {
         Self {
             enabled: true,
             lanes: vec!["world".to_owned()],
+            lane_ids: HashMap::from([("world".to_owned(), LaneId::WORLD)]),
             spans: Vec::new(),
             open: vec![Vec::new()],
             instants: Vec::new(),
-            events: Trace::new(),
+            capacity: None,
+            dropped: 0,
             metrics: MetricsRegistry::new(),
         }
     }
@@ -170,12 +207,7 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Self {
             enabled: false,
-            lanes: vec!["world".to_owned()],
-            spans: Vec::new(),
-            open: vec![Vec::new()],
-            instants: Vec::new(),
-            events: Trace::disabled(),
-            metrics: MetricsRegistry::new(),
+            ..Self::new()
         }
     }
 
@@ -184,18 +216,17 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Caps the flat event log and the instant-event list at `limit`
-    /// entries each; events beyond the cap are counted as dropped (see
-    /// [`Telemetry::dropped_events`]) instead of growing memory without
-    /// bound during long fault sweeps.
+    /// Caps the instant-event list at `limit` entries; events beyond the
+    /// cap are counted as dropped (see [`Telemetry::dropped_events`])
+    /// instead of growing memory without bound during long fault sweeps.
     pub fn set_event_capacity(&mut self, limit: usize) {
-        self.events.set_capacity(Some(limit));
+        self.capacity = Some(limit);
     }
 
     /// Events dropped by the capacity limit so far. Exported as the
     /// `flux.telemetry.events_dropped` metric in snapshots.
     pub fn dropped_events(&self) -> u64 {
-        self.events.dropped()
+        self.dropped
     }
 
     // ---- lanes ----------------------------------------------------------
@@ -203,12 +234,14 @@ impl Telemetry {
     /// Interns a lane by name, returning its id. Registering the same name
     /// twice returns the same lane.
     pub fn lane(&mut self, name: &str) -> LaneId {
-        if let Some(i) = self.lanes.iter().position(|l| l == name) {
-            return LaneId(i as u16);
+        if let Some(&id) = self.lane_ids.get(name) {
+            return id;
         }
+        let id = LaneId(u32::try_from(self.lanes.len()).expect("lane count fits u32"));
         self.lanes.push(name.to_owned());
+        self.lane_ids.insert(name.to_owned(), id);
         self.open.push(Vec::new());
-        LaneId((self.lanes.len() - 1) as u16)
+        id
     }
 
     /// Registered lane names, in registration order.
@@ -224,17 +257,16 @@ impl Telemetry {
         if !self.enabled {
             return SpanId::NONE;
         }
-        let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
-        let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
+        let parent = self.open[lane.index()].last().map(|&i| SpanId(i));
         let id = self.spans.len() as u32;
         self.spans.push(Span {
             name: name.to_owned(),
-            lane: LaneId(lane_ix as u16),
+            lane,
             parent,
             start: at,
             end: None,
         });
-        self.open[lane_ix].push(id);
+        self.open[lane.index()].push(id);
         SpanId(id)
     }
 
@@ -249,7 +281,7 @@ impl Telemetry {
         let Some(span) = self.spans.get(id.0 as usize) else {
             return;
         };
-        let lane_ix = span.lane.0 as usize;
+        let lane_ix = span.lane.index();
         if !self.open[lane_ix].contains(&id.0) {
             return;
         }
@@ -271,11 +303,10 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
-        let parent = self.open[lane_ix].last().map(|&i| SpanId(i));
+        let parent = self.open[lane.index()].last().map(|&i| SpanId(i));
         self.spans.push(Span {
             name: name.to_owned(),
-            lane: LaneId(lane_ix as u16),
+            lane,
             parent,
             start,
             end: Some(end),
@@ -289,8 +320,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let lane_ix = (lane.0 as usize).min(self.open.len() - 1);
-        while let Some(top) = self.open[lane_ix].pop() {
+        while let Some(top) = self.open[lane.index()].pop() {
             if self.spans[top as usize].end.is_none() {
                 self.spans[top as usize].end = Some(at);
             }
@@ -339,7 +369,7 @@ impl Telemetry {
         for span in &other.spans {
             self.spans.push(Span {
                 name: span.name.clone(),
-                lane: lane_map[span.lane.0 as usize],
+                lane: lane_map[span.lane.index()],
                 parent: span.parent.map(|p| SpanId(base + p.0)),
                 start: span.start + shift,
                 end: span.end.map(|e| e + shift),
@@ -347,7 +377,7 @@ impl Telemetry {
         }
         for ev in &other.instants {
             self.instant(
-                lane_map[ev.lane.0 as usize],
+                lane_map[ev.lane.index()],
                 ev.kind,
                 &ev.name,
                 ev.at + shift,
@@ -373,8 +403,8 @@ impl Telemetry {
 
     // ---- events ---------------------------------------------------------
 
-    /// Records a lane-attributed instant event and mirrors it into the
-    /// flat compatibility log. Subject to the event capacity.
+    /// Records a lane-attributed instant event. Subject to the event
+    /// capacity: past the cap the event is counted as dropped instead.
     pub fn instant(
         &mut self,
         lane: LaneId,
@@ -386,40 +416,17 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        let detail = detail.into();
-        if self.events.emit_kind(at, kind, name, detail.clone()) {
-            self.instants.push(InstantEvent {
-                at,
-                lane: LaneId((lane.0 as usize).min(self.lanes.len() - 1) as u16),
-                kind,
-                name: name.to_owned(),
-                detail,
-            });
+        if self.capacity.is_some_and(|cap| self.instants.len() >= cap) {
+            self.dropped += 1;
+            return;
         }
-    }
-
-    /// Compatibility shim for `Trace::emit`: a generic event on the world
-    /// lane.
-    pub fn emit(&mut self, at: SimTime, category: &str, detail: impl Into<String>) {
-        self.instant(LaneId::WORLD, TraceKind::Generic, category, at, detail);
-    }
-
-    /// Compatibility shim for `Trace::emit_kind`: a typed event on the
-    /// world lane.
-    pub fn emit_kind(
-        &mut self,
-        at: SimTime,
-        kind: TraceKind,
-        category: &str,
-        detail: impl Into<String>,
-    ) {
-        self.instant(LaneId::WORLD, kind, category, at, detail);
-    }
-
-    /// The flat event log (the original `flux_simcore::Trace` API:
-    /// `events()`, `events_in()`, `events_of_kind()`, `len()`).
-    pub fn events(&self) -> &Trace {
-        &self.events
+        self.instants.push(InstantEvent {
+            at,
+            lane,
+            kind,
+            name: name.to_owned(),
+            detail: detail.into(),
+        });
     }
 
     /// Lane-attributed instant events, in emission order.
@@ -560,6 +567,21 @@ mod tests {
     }
 
     #[test]
+    fn lanes_past_u16_stay_distinct() {
+        let mut tele = Telemetry::new();
+        let ids: Vec<LaneId> = (0..70_000)
+            .map(|i| tele.lane(&format!("fleet.m{i}")))
+            .collect();
+        let last = ids[69_999];
+        assert_eq!(tele.lane("fleet.m69999"), last);
+        assert_eq!(tele.lanes()[last.index()], "fleet.m69999");
+        let low = tele.enter(ids[69_999 - 65_536], "low", t(0));
+        tele.enter(last, "high", t(1));
+        assert_eq!(tele.spans()[1].lane, last);
+        assert_ne!(tele.spans()[1].parent, Some(low));
+    }
+
+    #[test]
     fn span_total_sums_across_attempts() {
         let mut tele = Telemetry::new();
         let lane = tele.lane("dev");
@@ -578,10 +600,10 @@ mod tests {
         let mut tele = Telemetry::new();
         tele.set_event_capacity(2);
         for i in 0..5 {
-            tele.emit(t(i), "spam", "x");
+            tele.instant(LaneId::WORLD, TraceKind::Generic, "spam", t(i), "x");
         }
-        assert_eq!(tele.events().len(), 2);
         assert_eq!(tele.instants().len(), 2);
+        assert_eq!(tele.instants()[1].at, t(1));
         assert_eq!(tele.dropped_events(), 3);
     }
 

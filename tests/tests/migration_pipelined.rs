@@ -8,6 +8,7 @@ use common::staged;
 use flux_appfw::ActivityState;
 use flux_core::{migrate, pair, MigrationConfig, MigrationSpec, RetryPolicy};
 use flux_simcore::{ByteSize, FaultConfig, FaultPlan, SimDuration};
+use flux_telemetry::export::json_snapshot;
 
 #[test]
 fn serial_config_is_bit_identical_to_default_migrate() {
@@ -31,8 +32,8 @@ fn serial_config_is_bit_identical_to_default_migrate() {
         w.telemetry.finish(now);
     }
     assert_eq!(
-        flux_telemetry::json_snapshot(&base.telemetry),
-        flux_telemetry::json_snapshot(&cfgd.telemetry)
+        json_snapshot(&base.telemetry),
+        json_snapshot(&cfgd.telemetry)
     );
     // The serial ledger reports no pipelined-engine activity.
     assert_eq!(r1.ledger.precopy_streamed, ByteSize::ZERO);
